@@ -76,9 +76,11 @@ bench-campaign:
 
 # bench-serve reproduces the observatory numbers recorded in BENCH_serve.json:
 # the full daemon cycle (all three legs + tsdb sampling + checkpoint-free
-# commit) and the time-series store's append/publish/query hot path.
+# commit), the durable cycle (a checkpoint committed every cycle over a whole
+# month and its boundary, reported as ns/cycle) and the time-series store's
+# append/publish/query hot path.
 bench-serve:
-	go test -run '^$$' -bench 'BenchmarkServeCycle' -benchmem \
+	go test -run '^$$' -bench 'BenchmarkServeCycle$$|BenchmarkServeCycleDurable' -benchmem \
 		-benchtime $(BENCHTIME) ./internal/serve/
 	go test -run '^$$' -bench 'BenchmarkTSDBAppendQuery|BenchmarkViewWalk' -benchmem \
 		-benchtime $(BENCHTIME) ./internal/obs/tsdb/

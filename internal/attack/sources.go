@@ -290,8 +290,20 @@ func (s *Sources) DeriveInfected() []netsim.IPv4 {
 			}
 		}
 		sort.Slice(s.infected, func(i, j int) bool { return s.infected[i] < s.infected[j] })
+		if s.infected == nil {
+			s.infected = []netsim.IPv4{} // derived and empty: never walk again
+		}
 	}
 	return s.infected
+}
+
+// ShareInfected makes s use other's derived infected set instead of walking
+// the universe again. Both must share seed and universe, so the set is the
+// one s would derive itself; it is read-only once derived, so instances
+// sharing it may be read concurrently.
+func (s *Sources) ShareInfected(other *Sources) {
+	s.infected = other.DeriveInfected()
+	s.infectedAt = other.infectedAt
 }
 
 // exposureOf reports whether ip exposes any scanned protocol and whether it

@@ -116,6 +116,24 @@ func (l *Log) Len() int {
 	return int(l.seq.Load())
 }
 
+// Drain removes and returns every event, in no particular order (apply
+// SortEventsCanonical where order matters). It must not race Append.
+func (l *Log) Drain() []Event {
+	out := make([]Event, 0, l.Len())
+	for i := range l.shards {
+		sh := &l.shards[i]
+		sh.mu.Lock()
+		for _, se := range sh.events {
+			out = append(out, se.ev)
+		}
+		clear(sh.events)
+		sh.events = sh.events[:0]
+		sh.mu.Unlock()
+	}
+	l.seq.Store(0)
+	return out
+}
+
 // SortEventsCanonical orders events by content alone — every field, ties
 // broken field by field — removing scheduling artifacts. Two replays of the
 // same plan under different worker counts produce logs whose canonical

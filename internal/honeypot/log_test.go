@@ -139,3 +139,28 @@ func TestFloodUpgradeThreshold(t *testing.T) {
 		t.Fatal("flood count leaked across the day boundary")
 	}
 }
+
+// TestLogDrain asserts Drain hands back every event exactly once and leaves
+// an empty log that keeps accepting appends.
+func TestLogDrain(t *testing.T) {
+	log := &Log{}
+	base := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 100; i++ {
+		log.Append(Event{Time: base, Src: netsim.IPv4(i)})
+	}
+	got := log.Drain()
+	seen := make(map[netsim.IPv4]bool)
+	for _, ev := range got {
+		seen[ev.Src] = true
+	}
+	if len(got) != 100 || len(seen) != 100 {
+		t.Fatalf("drained %d events (%d distinct), want 100", len(got), len(seen))
+	}
+	if log.Len() != 0 || len(log.Events()) != 0 || len(log.Drain()) != 0 {
+		t.Fatal("log not empty after Drain")
+	}
+	log.Append(Event{Time: base, Src: 7})
+	if evs := log.Events(); len(evs) != 1 || evs[0].Src != 7 {
+		t.Fatalf("after Drain, Events = %+v, want the one new event", evs)
+	}
+}

@@ -7,13 +7,15 @@
 //
 // One cycle is one simulated day. Aggregate state is a pure function of
 // (seed, config, cycle): every fold happens on the single-threaded cycle
-// driver from canonical (order-normalized) leg outputs, so the published
+// driver, from canonical (order-normalized) leg outputs or as an
+// order-insensitive sum (the honeypot counts and sets), so the published
 // snapshots — and the checkpoints that make the daemon kill-safe — are
 // byte-identical across runs, worker counts and kill/resume cycles.
 package serve
 
 import (
 	"encoding/json"
+	"maps"
 	"sort"
 	"time"
 
@@ -314,38 +316,58 @@ func (a *Aggregates) FinishSweep() {
 	a.Exposure.Sweep++
 }
 
-// FoldMonthEvents re-derives the current month's trend rows from the month's
-// canonical event log, through day throughDay (inclusive, month-relative).
-// Re-deriving the whole month window — instead of appending one day's delta —
-// makes the fold idempotent: a cycle replayed after a kill lands on exactly
-// the rows the killed run had, because the log it folds from is itself
-// restored canonically.
-func (a *Aggregates) FoldMonthEvents(month, throughDay int, events []honeypot.Event) {
-	days := throughDay + 1
-	counts := honeypot.DailyCounts(events, netsim.ExperimentStart, days)
-	byType := make([]map[string]int, days)
-	sources := make([]IPSet, days)
+// monthEvents is the current month's honeypot trend inputs, accumulated
+// per month-relative day. The fold is additive — counts and sets — so each
+// cycle folds only its own day's events; the month's event log is never
+// kept. It lives with the month world and is rebuilt, like the world, by the
+// restore replay.
+type monthEvents struct {
+	counts  [monthDays]int
+	byType  [monthDays]map[string]int
+	sources [monthDays]IPSet
+}
+
+// foldDayEvents folds month-relative day throughDay's new honeypot events
+// into acc and rewrites the month's trend rows through throughDay from it.
+// Each event lands on the day its timestamp falls in, not the day that
+// produced it; a row only shows days up to throughDay, so an event stamped
+// past it waits in acc until its day's cycle. Row contents — including the
+// rows of event-free days — are exactly what a re-derivation from the
+// month's whole log through throughDay gives.
+func (a *Aggregates) foldDayEvents(acc *monthEvents, month, throughDay int, events []honeypot.Event) {
 	for _, ev := range events {
-		if ev.Time.Before(netsim.ExperimentStart) {
+		off := ev.Time.Sub(netsim.ExperimentStart)
+		d := int(off / (24 * time.Hour))
+		if d < 0 || d >= monthDays {
 			continue
 		}
-		d := int(ev.Time.Sub(netsim.ExperimentStart) / (24 * time.Hour))
-		if d < 0 || d >= days {
+		// Division truncates toward zero: the last day before the month
+		// counts toward day 0's events, as honeypot.DailyCounts does, but
+		// not toward its types or sources.
+		acc.counts[d]++
+		if off < 0 {
 			continue
 		}
-		if byType[d] == nil {
-			byType[d] = make(map[string]int)
+		if acc.byType[d] == nil {
+			acc.byType[d] = make(map[string]int)
 		}
-		byType[d][string(ev.Type)]++
-		sources[d].Add(ev.Src)
-		a.Correlate.HoneypotSources.Add(ev.Src)
+		acc.byType[d][string(ev.Type)]++
+		acc.sources[d].Add(ev.Src)
+		if d < throughDay {
+			a.Correlate.HoneypotSources.Add(ev.Src)
+		}
+	}
+	// The day just reached joins the correlation set whole, including
+	// events earlier cycles stamped into it.
+	for ip := range acc.sources[throughDay] {
+		a.Correlate.HoneypotSources.Add(ip)
 	}
 	base := month * monthDays
-	for d := 0; d < days; d++ {
+	for d := 0; d <= throughDay; d++ {
 		row := a.Trends.day(base + d)
-		row.AttackEvents = counts[d]
-		row.AttacksByType = byType[d]
-		row.AttackSources = len(sources[d])
+		row.AttackEvents = acc.counts[d]
+		row.AttacksByType = maps.Clone(acc.byType[d])
+		row.AttackSources = len(acc.sources[d])
 	}
 }
 

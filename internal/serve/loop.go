@@ -1,12 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
-	"strings"
 
 	"openhire/internal/attack"
 	"openhire/internal/attack/malware"
@@ -98,9 +97,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// monthState is the attack month's live world: honeypot fabric, telescope
-// and darknet generator, all seeded for the current month and discarded at
-// the month boundary. Rebuilt on restore by replaying construction.
+// monthState is the attack month's live world and its month-constant
+// inputs: honeypot fabric, telescope and darknet generator, the malware
+// corpus, the darknet Sources whose derived infected set every cycle's
+// campaign Sources shares, and the honeypot trend accumulators. All are
+// seeded for the current month and discarded at the month boundary. Restore
+// rebuilds them by replaying construction and the month's committed
+// campaign days.
 type monthState struct {
 	clock   *netsim.SimClock
 	network *netsim.Network
@@ -108,12 +111,17 @@ type monthState struct {
 	log     *honeypot.Log
 	tel     *telescope.Telescope
 	gen     *attack.DarknetGenerator
+	sources *attack.Sources
+	corpus  *malware.Corpus
+	events  monthEvents
 }
 
 // serveCheckpoint is the daemon's durable state, committed at every cycle
 // boundary where all three legs are quiescent. The worlds are rebuilt by
-// replaying construction (pure functions of seed and month/sweep index), so
-// the state is just the resumable leg positions plus the aggregates.
+// replaying construction (pure functions of seed and month/sweep index) and
+// the month's honeypot events by replaying its campaign days up to the
+// Campaign position, so the state is just the resumable leg positions plus
+// the aggregates. Its size does not grow with the day of the month.
 type serveCheckpoint struct {
 	// Cycle is the number of completed cycles.
 	Cycle int `json:"cycle"`
@@ -121,9 +129,6 @@ type serveCheckpoint struct {
 	Campaign *attack.CampaignResume `json:"campaign,omitempty"`
 	// Scan is the segmented scanner's position (nil between sweeps).
 	Scan *scan.SegmentedState `json:"scan,omitempty"`
-	// Events is the current month's honeypot log in canonical JSONL form
-	// ("" at a month boundary).
-	Events string `json:"events,omitempty"`
 	// Agg is the complete derived state.
 	Agg *Aggregates `json:"agg"`
 	// TSDB is the sim-deterministic time-series state at this cycle, the
@@ -216,10 +221,12 @@ func (l *Loop) sweepSeed(s int) uint64 {
 }
 
 // buildMonth replays month m's world construction: a fresh clock and fabric,
-// the six honeypots, the telescope, and a darknet generator whose Sources
-// instance shares the month seed (DeriveInfected is position-independent, so
-// the generator's infected Telnet scanners are the same devices the campaign
-// infects — the Section 5.3 cross-dataset joins stay faithful).
+// the six honeypots, the telescope, the malware corpus, and a darknet
+// generator whose Sources instance shares the month seed. DeriveInfected is
+// position-independent, so the generator's infected set is the one every
+// campaign day shares: the generator's infected Telnet scanners are the same
+// devices the campaign infects, and the Section 5.3 cross-dataset joins stay
+// faithful.
 func (l *Loop) buildMonth(m int) *monthState {
 	ms := l.monthSeed(m)
 	clock := netsim.NewSimClock(netsim.ExperimentStart)
@@ -227,16 +234,18 @@ func (l *Loop) buildMonth(m int) *monthState {
 	network.AddProvider(l.cfg.Prefix, l.universe)
 	pots, log := honeypot.DeployAll(network, netsim.MustParseIPv4("130.226.56.10"))
 	tel := telescope.New(netsim.MustParsePrefix("44.0.0.0/8"), l.geodb)
+	sources := attack.NewSources(ms, l.universe, nil, nil)
 	gen := attack.NewDarknetGenerator(attack.DarknetConfig{
 		Seed:      ms,
 		Telescope: tel,
-		Sources:   attack.NewSources(ms, l.universe, nil, nil),
+		Sources:   sources,
 		GeoDB:     l.geodb,
 		Scale:     l.cfg.Scale,
 		Days:      monthDays,
 		Workers:   l.cfg.Workers,
 	})
-	return &monthState{clock: clock, network: network, pots: pots, log: log, tel: tel, gen: gen}
+	return &monthState{clock: clock, network: network, pots: pots, log: log, tel: tel, gen: gen,
+		sources: sources, corpus: malware.NewCorpus(ms, nil)}
 }
 
 // Restore loads the checkpoint from cfg.CheckpointDir, if one exists, and
@@ -287,20 +296,48 @@ func (l *Loop) Restore() (bool, error) {
 		}
 	}
 	if l.cycle%monthDays != 0 {
-		// Mid-month: rebuild the month world and replay the committed days'
-		// events into the log (append order is free — every consumer sorts).
-		l.month = l.buildMonth(l.cycle / monthDays)
-		evs, err := honeypot.ImportJSONL(strings.NewReader(st.Events))
-		if err != nil {
-			return false, fmt.Errorf("checkpoint events: %w", err)
-		}
-		for _, ev := range evs {
-			l.month.log.Append(ev)
+		if err := l.replayMonth(st.Campaign); err != nil {
+			return false, err
 		}
 	}
 	// Publish the restored position immediately: the API answers from the
 	// committed watermark while the next cycle runs.
 	return true, l.publish()
+}
+
+// replayMonth rebuilds the month world after a mid-month restore and replays
+// the month's committed campaign days through campaignDay, the function the
+// cycles that committed them ran. The month's honeypot events are a pure
+// function of (month seed, days run), so the checkpoint keeps only the
+// scheduler position; the replay must land on that position and on the
+// checkpointed honeypot trend rows exactly, or the checkpoint is not one this
+// build wrote for this month.
+func (l *Loop) replayMonth(want *attack.CampaignResume) error {
+	m, days := l.cycle/monthDays, l.cycle%monthDays
+	l.month = l.buildMonth(m)
+	l.campaignResume = nil
+	replay := &Aggregates{}
+	for d := 0; d < days; d++ {
+		replay.foldDayEvents(&l.month.events, m, d, l.campaignDay(m, nil))
+	}
+	if got := l.campaignResume; want == nil || *got != *want {
+		return fmt.Errorf("%w: campaign position %+v, replaying %d days gives %+v",
+			checkpoint.ErrCorruptCheckpoint, want, days, *got)
+	}
+	for d := m * monthDays; d < l.cycle; d++ {
+		r := replay.Trends.Days[d]
+		if d >= len(l.agg.Trends.Days) || !sameHoneypotRow(l.agg.Trends.Days[d], r) {
+			return fmt.Errorf("%w: trend row for day %d disagrees with its replay",
+				checkpoint.ErrCorruptCheckpoint, d)
+		}
+	}
+	return nil
+}
+
+// sameHoneypotRow compares the honeypot columns of two trend rows.
+func sameHoneypotRow(a, b DayTrend) bool {
+	return a.AttackEvents == b.AttackEvents && a.AttackSources == b.AttackSources &&
+		maps.Equal(a.AttacksByType, b.AttacksByType)
 }
 
 // Run drives cycles until ctx is cancelled or, when cycles > 0, the total
@@ -333,42 +370,10 @@ func (l *Loop) runCycle() error {
 		span = obs.StartCycleSpan()
 	}
 
-	// Attack leg: one campaign day. The seeded world (pools, plans, intel
-	// services) is rebuilt each cycle by replaying construction — Sources is
-	// stateful, so only a fresh instance replays the same pool builds — and
-	// the scheduler position chains through Resume.
-	ms := l.monthSeed(m)
-	rdns := geo.NewRDNS(ms)
-	gn := intel.NewGreyNoise(ms, 0.81)
-	vt := intel.NewVirusTotal()
-	sources := attack.NewSources(ms, l.universe, rdns, gn)
-	var captured attack.CampaignResume
-	var campaign *attack.Campaign
-	campaign = attack.NewCampaign(attack.CampaignConfig{
-		Seed:       ms,
-		Network:    l.month.network,
-		Honeypots:  l.month.pots,
-		Universe:   l.universe,
-		Sources:    sources,
-		Corpus:     malware.NewCorpus(ms, nil),
-		Intensity:  l.cfg.Intensity,
-		Workers:    l.cfg.Workers,
-		Clock:      l.month.clock,
-		GreyNoise:  gn,
-		VirusTotal: vt,
-		RDNS:       rdns,
-		Resume:     l.campaignResume,
-		Days:       1,
-		OnDay: func(day, planned, run int) {
-			captured = campaign.SchedulerState(day, planned, run)
-		},
-	})
-	// context.Background() deliberately: a mid-day cancel would tear the
-	// fabric mid-flight and break byte-identity. Run's boundary check is the
-	// only cancellation point.
-	campaign.Run(context.Background())
-	l.campaignResume = &captured
-	span.Mark("campaign")
+	// Attack leg: one campaign day. Its honeypot events fold into the
+	// month's trend rows; the month's log is never kept.
+	l.agg.foldDayEvents(&l.month.events, m, d, l.campaignDay(m, span))
+	span.Mark("honeypots")
 
 	// Telescope leg: generate and drain the darknet day, folding volume and
 	// rotation buckets into the day's trend row; when TelescopeDir is set,
@@ -386,12 +391,6 @@ func (l *Loop) runCycle() error {
 	}
 	span.Mark("telescope")
 
-	// Honeypot trends: re-derive the month's rows from the canonical log.
-	events := l.month.log.Events()
-	honeypot.SortEventsCanonical(events)
-	l.agg.FoldMonthEvents(m, d, events)
-	span.Mark("honeypots")
-
 	// Scan leg: drain this cycle's segment allowance.
 	if err := l.stepScan(); err != nil {
 		return err
@@ -404,7 +403,51 @@ func (l *Loop) runCycle() error {
 		l.campaignResume = nil
 	}
 	l.cycle++
-	return l.commit(events, span)
+	return l.commit(span)
+}
+
+// campaignDay runs the next day of month m's attack campaign from the
+// scheduler position l.campaignResume, advances that position, and drains
+// the day's honeypot events from the log. runCycle and Restore's replay both
+// run days through it, so a replayed day is the same computation as the one
+// it replays. The intel services and the campaign's Sources are rebuilt each
+// day by replaying construction (pool builds mutate them, so only a fresh
+// instance replays the same builds); the corpus and the infected set are the
+// month's, built once.
+func (l *Loop) campaignDay(m int, span *obs.CycleSpan) []honeypot.Event {
+	ms := l.monthSeed(m)
+	rdns := geo.NewRDNS(ms)
+	gn := intel.NewGreyNoise(ms, 0.81)
+	sources := attack.NewSources(ms, l.universe, rdns, gn)
+	sources.ShareInfected(l.month.sources)
+	var captured attack.CampaignResume
+	var campaign *attack.Campaign
+	campaign = attack.NewCampaign(attack.CampaignConfig{
+		Seed:       ms,
+		Network:    l.month.network,
+		Honeypots:  l.month.pots,
+		Universe:   l.universe,
+		Sources:    sources,
+		Corpus:     l.month.corpus,
+		Intensity:  l.cfg.Intensity,
+		Workers:    l.cfg.Workers,
+		Clock:      l.month.clock,
+		GreyNoise:  gn,
+		VirusTotal: intel.NewVirusTotal(),
+		RDNS:       rdns,
+		Resume:     l.campaignResume,
+		Days:       1,
+		OnDay: func(day, planned, run int) {
+			captured = campaign.SchedulerState(day, planned, run)
+		},
+	})
+	// context.Background() deliberately: a mid-day cancel would tear the
+	// fabric mid-flight and break byte-identity. Run's boundary check is the
+	// only cancellation point.
+	campaign.Run(context.Background())
+	l.campaignResume = &captured
+	span.Mark("campaign")
+	return l.month.log.Drain()
 }
 
 // stepScan advances the in-flight sweep by up to SegmentsPerCycle segment
@@ -451,7 +494,7 @@ func (l *Loop) stepScan() error {
 // a checkpoint at least as new. The observatory samples happen at the same
 // barrier: the sim stream before the checkpoint (its state rides inside it),
 // the wall stream after (it is excluded from every durability guarantee).
-func (l *Loop) commit(events []honeypot.Event, span *obs.CycleSpan) error {
+func (l *Loop) commit(span *obs.CycleSpan) error {
 	cyc := int64(l.cycle - 1)
 	l.obsv.appendSim(cyc, l.agg, inflightScanStats(l.scanState))
 	name := fmt.Sprintf("cycle%04d", len(l.ckpts))
@@ -463,13 +506,6 @@ func (l *Loop) commit(events []honeypot.Event, span *obs.CycleSpan) error {
 			Agg:            l.agg,
 			TelescopeFiles: l.telFiles,
 			Checkpoints:    l.ckpts,
-		}
-		if l.month != nil {
-			var buf bytes.Buffer
-			if err := honeypot.ExportJSONL(&buf, events); err != nil {
-				return fmt.Errorf("checkpoint: %w", err)
-			}
-			st.Events = buf.String()
 		}
 		if l.obsv != nil {
 			simState := l.obsv.Sim.State()

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -133,72 +135,126 @@ func TestSweepCompletionFolds(t *testing.T) {
 	}
 }
 
-// TestKillResumeSnapshots asserts a checkpointed daemon killed between cycles
-// and restored by a fresh Loop publishes byte-identical snapshots: the
-// restored position's immediate re-publish matches the killed run's last
-// commit, and the continued cycles match an uninterrupted golden run.
+// cycleRecord is everything the determinism contract covers at one
+// committed cycle: the published snapshot, the -out artifact and the sim
+// time-series state.
+type cycleRecord struct {
+	snap *Published
+	agg  []byte
+	ts   []byte
+}
+
+// record builds a Loop from cfg, restores its checkpoint when restore is
+// set, runs it to cycles, and returns it with a cycleRecord for every cycle
+// it published, a restored position's immediate re-publish included.
+func record(t *testing.T, cfg Config, cycles int, restore bool) (*Loop, map[int]cycleRecord) {
+	t.Helper()
+	recs := make(map[int]cycleRecord)
+	var l *Loop
+	cfg.OnPublish = func(s *Published) {
+		agg, err := l.AggregatesJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := l.Observatory().Sim.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[s.Watermark.Cycle] = cycleRecord{snap: s, agg: agg, ts: ts}
+	}
+	l = New(cfg)
+	if restore {
+		found, err := l.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !found {
+			t.Fatal("Restore found no checkpoint")
+		}
+	}
+	if err := l.Run(context.Background(), cycles); err != nil {
+		t.Fatal(err)
+	}
+	return l, recs
+}
+
+// sameRecord asserts got matches the uninterrupted run's record byte for byte.
+func sameRecord(t *testing.T, label string, want, got cycleRecord) {
+	t.Helper()
+	sameSnapshot(t, label, want.snap, got.snap)
+	if !bytes.Equal(want.agg, got.agg) {
+		t.Errorf("%s: AggregatesJSON differs from uninterrupted run", label)
+	}
+	if !bytes.Equal(want.ts, got.ts) {
+		t.Errorf("%s: sim tsdb state differs from uninterrupted run:\n want: %s\n got:  %s", label, want.ts, got.ts)
+	}
+}
+
+// copyDir copies the regular files of src into a fresh temporary directory.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// checkpointsAt runs a checkpointed loop to the last of points and returns a
+// copy of its checkpoint directory as it stood after each point's commit —
+// what a daemon killed right after that cycle leaves behind.
+func checkpointsAt(t *testing.T, cfg Config, points ...int) map[int]string {
+	t.Helper()
+	dirs := make(map[int]string)
+	cfg.CheckpointDir = t.TempDir()
+	cfg.OnPublish = func(s *Published) {
+		for _, p := range points {
+			if s.Watermark.Cycle == p {
+				dirs[p] = copyDir(t, cfg.CheckpointDir)
+			}
+		}
+	}
+	if err := New(cfg).Run(context.Background(), points[len(points)-1]); err != nil {
+		t.Fatal(err)
+	}
+	return dirs
+}
+
+// TestKillResumeSnapshots asserts a checkpointed daemon killed after a cycle
+// and restored by a fresh Loop (with a different worker count) publishes
+// byte-identical state: the restored position's immediate re-publish matches
+// the killed run's last commit, and the continued cycles match an
+// uninterrupted run. The restore points cover an early mid-month replay
+// (cycle 2), the longest replay (29 campaign days, the month's last day
+// still to run), the month boundary (no replay), and the first day of the
+// second month (a one-day replay under a new month seed).
 func TestKillResumeSnapshots(t *testing.T) {
-	const total = 3
-	golden := collect(t, testConfig(9), total)
-
-	dir := t.TempDir()
-	cfg := testConfig(9)
-	cfg.CheckpointDir = dir
-	first := New(cfg)
-	if err := first.Run(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
-
-	// A different worker count after the "kill" — resume must not care.
-	cfg = testConfig(4)
-	cfg.CheckpointDir = dir
-	snaps := make(map[int]*Published)
-	cfg.OnPublish = func(s *Published) { snaps[s.Watermark.Cycle] = s }
-	second := New(cfg)
-	found, err := second.Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Fatal("Restore found no checkpoint")
-	}
-	if second.Cycle() != 2 {
-		t.Fatalf("restored at cycle %d, want 2", second.Cycle())
-	}
-	sameSnapshot(t, "restored re-publish", golden[2], snaps[2])
-	if err := second.Run(context.Background(), total); err != nil {
-		t.Fatal(err)
-	}
-	sameSnapshot(t, "resumed cycle 3", golden[3], snaps[3])
-
-	aggJSON, err := second.AggregatesJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	uninterrupted := New(testConfig(9))
-	if err := uninterrupted.Run(context.Background(), total); err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, err := uninterrupted.AggregatesJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(aggJSON, wantJSON) {
-		t.Errorf("resumed AggregatesJSON differs from uninterrupted run")
-	}
-
-	// The sim time-series state is part of the determinism contract too: the
-	// resumed observatory must land on the uninterrupted run's exact bytes.
-	gotTS, err := second.Observatory().Sim.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTS, err := uninterrupted.Observatory().Sim.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotTS, wantTS) {
-		t.Errorf("resumed sim tsdb state differs from uninterrupted run:\n want: %s\n got:  %s", wantTS, gotTS)
+	points := []int{2, monthDays - 1, monthDays, monthDays + 1}
+	const after = 2 // cycles run past each restore point
+	_, golden := record(t, testConfig(9), points[len(points)-1]+after, false)
+	dirs := checkpointsAt(t, testConfig(9), points...)
+	for _, p := range points {
+		t.Run(fmt.Sprintf("cycle%d", p), func(t *testing.T) {
+			cfg := testConfig(4)
+			cfg.CheckpointDir = dirs[p]
+			l, got := record(t, cfg, p+after, true)
+			for c := p; c <= p+after; c++ {
+				sameRecord(t, fmt.Sprintf("restored at %d, cycle %d", p, c), golden[c], got[c])
+			}
+			if l.Cycle() != p+after {
+				t.Fatalf("resumed run stopped at cycle %d, want %d", l.Cycle(), p+after)
+			}
+		})
 	}
 }
 

@@ -15,11 +15,16 @@
 #      across worker counts), the /metrics?format=prom vs manifest-derived
 #      prom byte-parity test, and the tsdb rollup-reconciliation and COW
 #      concurrency tests; then the service gate — the serve daemon's
-#      snapshot determinism across worker counts and kill/resume, the
-#      concurrent-scrape zero-perturbation test, and the time-series
-#      observatory gates (sim-stream byte-identity across worker counts,
-#      tsdb-on vs tsdb-off zero perturbation, checkpointed history matching
-#      the embedded state), under the race detector — these run in --fast
+#      snapshot determinism across worker counts and kill/resume (restore
+#      points mid-month, at the month's last day, at the month boundary and
+#      on the next month's first day; each mid-month restore replays the
+#      month's campaign days and must match the checkpoint, and tampered
+#      checkpoints must be refused), the incremental honeypot fold against
+#      a full re-derivation, the concurrent-scrape zero-perturbation test,
+#      and the time-series observatory gates (sim-stream byte-identity
+#      across worker counts, tsdb-on vs tsdb-off zero perturbation,
+#      checkpointed history matching the embedded state), under the race
+#      detector — these run in --fast
 #      mode too, so the observatory can never perturb the simulation in
 #      the inner loop either
 #   5. the chaos gate: the fault-model equivalence tests (zero-fault noop,
